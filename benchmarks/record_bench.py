@@ -22,16 +22,16 @@ timings, and writes a JSON report next to the repository root:
   compared against the same component's baseline via the alias table).
 * ``campaign`` — the macro-benchmark the north star actually cares about:
   one fixed-seed utilization point executed cold through the campaign
-  executor three ways (the seed's per-sample reference loop, the
-  per-sample kernel loop, and the arena-batched path), reported as
+  executor two ways (the seed's reference engines and today's kernels,
+  both through the one per-sample loop every campaign runs), reported as
   wall-clock seconds per 1000 task sets with ``speedup_vs_seed`` /
   ``speedup_vs_prev`` ratios (``--skip-campaign`` omits the section).
   ``--check-campaign BASELINE.json`` turns the section into a CI gate:
-  the run fails when the arena arm regressed by more than
+  the run fails when the kernel arm regressed by more than
   :data:`CAMPAIGN_REGRESSION_BUDGET_PERCENT` versus the committed
   baseline, after normalising out machine speed via the same-run
-  per-sample kernel arm (shared runners differ several-fold in absolute
-  speed; the arena/per-sample ratio is what the arena can regress).
+  reference arm (shared runners differ several-fold in absolute speed;
+  the kernel/reference ratio is what a kernel change can regress).
 * ``telemetry_overhead`` — the EP/EN/SPIN/LPP kernels timed with an
   active :mod:`repro.obs.telemetry` session against the disabled default,
   as per-kernel and median overhead percentages (in-process interleaved
@@ -91,7 +91,7 @@ def baseline_name(name: str, baseline: dict) -> str:
 #: Observability budget: median kernel overhead with telemetry enabled.
 OVERHEAD_BUDGET_PERCENT = 2.0
 
-#: CI budget for the campaign macro-benchmark: the arena arm may be at most
+#: CI budget for the campaign macro-benchmark: the kernel arm may be at most
 #: this much slower (machine-normalised) than the committed baseline.
 CAMPAIGN_REGRESSION_BUDGET_PERCENT = 10.0
 
@@ -273,7 +273,7 @@ def measure_campaign_macro(samples: int = 40, prev_campaign: dict = None) -> dic
 
     One fixed-seed utilization point (wide DAGs under light per-request
     contention on a 32-core platform — the regime the paper's Fig. 2-style
-    sweeps live in) is executed three ways, each arm timed around a fresh
+    sweeps live in) is executed two ways, each arm timed around a fresh
     :func:`repro.campaign.executor.execute_unit` call so every arm pays
     generation and table compilation cold:
 
@@ -282,14 +282,11 @@ def measure_campaign_macro(samples: int = 40, prev_campaign: dict = None) -> dic
       and the baseline ``speedup_vs_seed`` compares against (matching the
       component table's convention, where ``seed_us`` records the
       pre-kernel medians).
-    * ``per_sample_kernel`` — the per-sample loop over today's scalar
-      kernels (the ``--batch-size``-omitted default), so the report also
-      shows what batching adds *beyond* the already-kernelised loop.
-    * ``arena`` — the same kernel suite through the cross-taskset arena
-      (``--batch-size 0``: the whole unit in shared batched waves).
+    * ``per_sample_kernel`` — the same loop over today's kernels: what
+      every campaign, simulate run and daemon query executes.
 
-    The kernel and arena arms must agree exactly on acceptance counts
-    (identical-by-construction verdicts); a mismatch raises instead of
+    The two arms must agree exactly on acceptance counts (the kernels are
+    pinned to the reference oracle); a mismatch raises instead of
     recording a benchmark of two different computations.
     """
     for path in (os.path.join(REPO_ROOT, "src"),):
@@ -330,28 +327,29 @@ def measure_campaign_macro(samples: int = 40, prev_campaign: dict = None) -> dic
         return [SpinTest(), LppTest(), DpcpPEpTest(), DpcpPEnTest()]
 
     arms = [
-        ("per_sample_seed", reference_suite, None),
-        ("per_sample_kernel", kernel_suite, None),
-        ("arena", kernel_suite, 0),
+        ("per_sample_seed", reference_suite),
+        ("per_sample_kernel", kernel_suite),
     ]
     seconds_per_1k, results = {}, {}
-    for name, suite, batch_size in arms:
+    for name, suite in arms:
         protocols = suite()
         started = time.perf_counter()
-        result = execute_unit(unit, protocols, batch_size=batch_size)
+        result = execute_unit(unit, protocols)
         elapsed = time.perf_counter() - started
         results[name] = result
         evaluated = max(result.evaluated, 1)
         seconds_per_1k[name] = round(elapsed / evaluated * 1000.0, 3)
-    if results["arena"].accepted != results["per_sample_kernel"].accepted:
+    kernel_result = results["per_sample_kernel"]
+    if kernel_result.accepted != results["per_sample_seed"].accepted:
         raise AssertionError(
-            "arena and per-sample kernel arms disagree on acceptance: "
-            f"{results['arena'].accepted} vs "
-            f"{results['per_sample_kernel'].accepted}"
+            "reference and kernel arms disagree on acceptance: "
+            f"{results['per_sample_seed'].accepted} vs {kernel_result.accepted}"
         )
 
-    prev_arena = (prev_campaign or {}).get("seconds_per_1k", {}).get("arena")
-    arena = seconds_per_1k["arena"]
+    prev_kernel = (prev_campaign or {}).get("seconds_per_1k", {}).get(
+        "per_sample_kernel"
+    )
+    kernel = seconds_per_1k["per_sample_kernel"]
     return {
         "workload": (
             f"campaign unit {unit.unit_id} (m=32, nr=8..16, U=1.5, pr=1.0, "
@@ -362,40 +360,37 @@ def measure_campaign_macro(samples: int = 40, prev_campaign: dict = None) -> dic
         "unit_id": unit.unit_id,
         "utilization": unit.utilization,
         "samples_per_point": samples,
-        "evaluated": results["arena"].evaluated,
-        "generation_failures": results["arena"].generation_failures,
-        "accepted": dict(results["arena"].accepted),
+        "evaluated": kernel_result.evaluated,
+        "generation_failures": kernel_result.generation_failures,
+        "accepted": dict(kernel_result.accepted),
         "seconds_per_1k": seconds_per_1k,
-        "speedup_vs_seed": round(seconds_per_1k["per_sample_seed"] / arena, 2),
-        "speedup_vs_kernel_loop": round(
-            seconds_per_1k["per_sample_kernel"] / arena, 2
-        ),
+        "speedup_vs_seed": round(seconds_per_1k["per_sample_seed"] / kernel, 2),
         "speedup_vs_prev": (
-            round(prev_arena / arena, 2) if prev_arena else None
+            round(prev_kernel / kernel, 2) if prev_kernel else None
         ),
     }
 
 
 def check_campaign_regression(campaign: dict, baseline_path: str) -> str:
-    """CI gate: error text if the arena arm regressed beyond budget, else ``""``.
+    """CI gate: error text if the kernel arm regressed beyond budget, else ``""``.
 
     Absolute wall-clock is machine-bound (shared CI runners differ
     several-fold), so the comparison normalises both sides by their own
-    per-sample kernel arm: what may not regress is how much faster the
-    arena is than the per-sample loop *on the same machine*.
+    reference-engine arm: what may not regress is how much faster the
+    kernel loop is than the reference loop *on the same machine*.
     """
     with open(baseline_path) as fh:
         baseline = json.load(fh).get("campaign", {})
     base = baseline.get("seconds_per_1k", {})
-    if not base.get("arena") or not base.get("per_sample_kernel"):
+    if not base.get("per_sample_kernel") or not base.get("per_sample_seed"):
         return f"no campaign baseline in {baseline_path}"
     current = campaign["seconds_per_1k"]
-    base_ratio = base["arena"] / base["per_sample_kernel"]
-    current_ratio = current["arena"] / current["per_sample_kernel"]
+    base_ratio = base["per_sample_kernel"] / base["per_sample_seed"]
+    current_ratio = current["per_sample_kernel"] / current["per_sample_seed"]
     regression = 100.0 * (current_ratio / base_ratio - 1.0)
     if regression > CAMPAIGN_REGRESSION_BUDGET_PERCENT:
         return (
-            f"arena wall-clock per 1k task sets regressed {regression:+.1f}% "
+            f"kernel wall-clock per 1k task sets regressed {regression:+.1f}% "
             f"vs {os.path.basename(baseline_path)} (budget "
             f"{CAMPAIGN_REGRESSION_BUDGET_PERCENT}%): "
             f"normalised {current_ratio:.3f} vs baseline {base_ratio:.3f}"
@@ -441,7 +436,7 @@ def main(argv=None) -> int:
         "--check-campaign",
         default=None,
         metavar="BASELINE.json",
-        help="fail (exit 1) when the arena arm's machine-normalised "
+        help="fail (exit 1) when the kernel arm's machine-normalised "
         "wall-clock per 1k task sets regressed more than "
         f"{CAMPAIGN_REGRESSION_BUDGET_PERCENT}%% vs this committed report",
     )
@@ -514,12 +509,11 @@ def main(argv=None) -> int:
         )
     if campaign is not None:
         print("\ncampaign macro-benchmark (wall-clock seconds per 1k task sets)")
-        for arm in ("per_sample_seed", "per_sample_kernel", "arena"):
+        for arm in ("per_sample_seed", "per_sample_kernel"):
             print(f"  {arm:<20} {campaign['seconds_per_1k'][arm]:>10.3f}")
         vs_prev = campaign["speedup_vs_prev"]
         print(
-            f"  arena speedup: {campaign['speedup_vs_seed']:.2f}x vs seed, "
-            f"{campaign['speedup_vs_kernel_loop']:.2f}x vs kernel loop, "
+            f"  kernel speedup: {campaign['speedup_vs_seed']:.2f}x vs seed, "
             + (f"{vs_prev:.2f}x vs prev" if vs_prev else "no prev recording")
         )
     if overhead is not None:

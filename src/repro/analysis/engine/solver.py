@@ -162,7 +162,7 @@ def _solve_scalar(
 def solve_batched(
     start: np.ndarray,
     step: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    bound,
+    bound: float,
     tolerance: float = DEFAULT_TOLERANCE,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> np.ndarray:
@@ -170,13 +170,11 @@ def solve_batched(
 
     ``step(values, indices)`` must return the recurrence applied to the
     still-active entries (``indices`` into the original batch).  ``bound``
-    is either one divergence bound shared by the whole batch or an array of
-    per-entry bounds (the cross-taskset arena mixes tasks with different
-    deadlines in one wave).  Entries that diverge past their bound (or
-    start beyond it, or produce NaN) resolve to ``inf`` — the scalar
-    solver's reading of a ``None`` fixed point.  Entries still active after
-    the iteration cap resolve to ``inf`` as well, with a
-    :class:`FixedPointNoConvergence` warning.
+    is the divergence bound shared by the whole batch.  Entries that
+    diverge past it (or start beyond it, or produce NaN) resolve to
+    ``inf`` — the scalar solver's reading of a ``None`` fixed point.
+    Entries still active after the iteration cap resolve to ``inf`` as
+    well, with a :class:`FixedPointNoConvergence` warning.
 
     Per entry, the iteration is semantically identical to
     :func:`solve_scalar`: same defensive non-decrease clamp, divergence
@@ -189,7 +187,6 @@ def solve_batched(
     start = np.asarray(start, dtype=float)
     out = np.full(start.shape, math.inf)
     bound_arr = np.asarray(bound, dtype=float)
-    per_entry_bound = bound_arr.ndim > 0
     active = np.isfinite(start) & (start <= bound_arr)
     idx = np.flatnonzero(active)
     if tel is not None:
@@ -199,7 +196,6 @@ def solve_batched(
     if idx.size == 0:
         return out
     cur = start[idx].astype(float)
-    bnd = bound_arr[idx] if per_entry_bound else bound_arr
     rounds = 0
     for _ in range(max_iterations):
         rounds += 1
@@ -211,7 +207,7 @@ def solve_batched(
         low = nxt < cur - tolerance
         if low.any():
             nxt = np.where(low, cur, nxt)
-        diverged = nxt > bnd
+        diverged = nxt > bound_arr
         converged = ~diverged & (np.abs(nxt - cur) <= tolerance)
         done = diverged | converged
         if done.any():
@@ -222,8 +218,6 @@ def solve_batched(
             keep = ~done
             idx = idx[keep]
             cur = nxt[keep]
-            if per_entry_bound:
-                bnd = bnd[keep]
             if idx.size == 0:
                 if tel is not None:
                     tel.count("solver.batched.rounds", rounds)
@@ -235,7 +229,7 @@ def solve_batched(
         tel.count("solver.batched.no_convergence", int(idx.size))
     warn_no_convergence(
         idx.size,
-        float(bound_arr.max()) if per_entry_bound else float(bound_arr),
+        float(bound_arr),
         stacklevel=4,
         max_iterations=max_iterations,
     )

@@ -153,15 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
             "interrupt simulation)",
         )
         sub.add_argument(
-            "--batch-size",
-            type=int,
-            default=None,
-            metavar="N",
-            help="samples per arena-batched solve within a unit (0 = the "
-            "whole unit at once, 1 or omitted = the per-sample reference "
-            "loop); results are identical across every value",
-        )
-        sub.add_argument(
             "--quiet", action="store_true", help="suppress progress output"
         )
         sub.add_argument(
@@ -430,11 +421,7 @@ def _execute(
             progress=printer,
             chunk_size=args.chunk_size,
             max_units=args.max_units,
-            runner=plan_runner(
-                plan,
-                telemetry=telemetry,
-                batch_size=getattr(args, "batch_size", None),
-            ),
+            runner=plan_runner(plan, telemetry=telemetry),
             events=sink,
             retry=retry,
             unit_deadline=args.unit_deadline,

@@ -22,7 +22,7 @@ The profile separates two kinds of evidence:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..campaign.store import CampaignStore
 from .events import UnitTelemetry, event_from_record
@@ -118,30 +118,6 @@ class ComputeProfile:
             (label, histogram[label])
             for label in sorted(histogram, key=bucket_sort_key)
         ]
-
-    def arena_efficiency(self) -> "Optional[Dict[str, float]]":
-        """Batch-efficiency figures of the arena-batched runs, if any ran.
-
-        Returns ``None`` when no ``arena.*`` counters were recorded (the
-        campaign used the per-sample loop throughout); otherwise a dict
-        with the raw counters plus ``requests_per_solve`` — the
-        amortization the batching achieved (fixed points retired per
-        batched NumPy solve).
-        """
-        counters = self.telemetry.counters
-        tasksets = int(counters.get("arena.tasksets", 0))
-        solves = int(counters.get("arena.batch_solves", 0))
-        fallbacks = int(counters.get("arena.fallbacks", 0))
-        if not (tasksets or solves or fallbacks):
-            return None
-        requests = int(counters.get("arena.requests", 0))
-        return {
-            "tasksets": tasksets,
-            "batch_solves": solves,
-            "requests": requests,
-            "fallbacks": fallbacks,
-            "requests_per_solve": requests / solves if solves else 0.0,
-        }
 
     def deterministic_counters(self) -> Dict[str, int]:
         """The integer counters (fixed-seed deterministic at any worker count)."""
@@ -270,17 +246,6 @@ def render_profile(profile: ComputeProfile, top: int = 10) -> str:
         for label, count in histogram:
             share = 100.0 * count / total if total else 0.0
             lines.append(f"  {label:>7} iterations  {count:>8}  {share:5.1f}%")
-
-    arena = profile.arena_efficiency()
-    if arena is not None:
-        lines.append("")
-        lines.append("arena batching")
-        lines.append(f"  tasksets batched      {arena['tasksets']}")
-        lines.append(
-            f"  batched solves        {arena['batch_solves']}  "
-            f"({arena['requests_per_solve']:.1f} requests/solve)"
-        )
-        lines.append(f"  per-sample fallbacks  {arena['fallbacks']}")
 
     counters = profile.deterministic_counters()
     if counters:

@@ -11,8 +11,8 @@ Three layers, strictly separated:
   answers every malformed frame with a typed error (the protocol
   reference in ``docs/service.md`` is generated from this registry);
 * :mod:`repro.service.jobs` — admission and execution: identical queries
-  coalesce into one execution, repeats hit a result cache, compatible
-  queries share arena-batched waves, and campaign jobs run the
+  coalesce into one execution, repeats hit a result cache, each query
+  runs as one campaign work unit, and campaign jobs run the
   fault-tolerant executor against durable stores keyed by config hash
   (resubmission = resume = healing);
 * :mod:`repro.service.daemon` / :mod:`repro.service.client` — the
@@ -26,7 +26,7 @@ complete client conversation.
 
 from .client import ServiceClient, ServiceClientError
 from .daemon import ServiceDaemon
-from .jobs import JobManager, evaluate_query_wave, query_cache_key, wave_group_key
+from .jobs import JobManager, evaluate_query_wave, query_cache_key
 from .messages import (
     MESSAGE_TYPES,
     PROTOCOL_VERSION,
@@ -77,5 +77,4 @@ __all__ = [
     "evaluate_query_wave",
     "query_cache_key",
     "render_protocol_reference",
-    "wave_group_key",
 ]

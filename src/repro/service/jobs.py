@@ -5,18 +5,15 @@ The :class:`JobManager` is the daemon's entire brain; the transport layer
 Two job kinds exist:
 
 * **Queries** (:class:`~repro.service.messages.SubmitQuery`) — one
-  scenario at one utilization point.  Admission is where the batching
-  economics of the engine arena pay off a second time: identical
-  submissions (same cache key over every result-determining field) are
-  *coalesced* into one execution whose single result answers every
-  subscribed client byte-identically, repeats of an already-answered query
-  are served straight from the result cache, and *distinct but compatible*
-  queries (same platform size, protocol suite, and path-signature cap)
-  that queue together are grouped into one shared **wave** — their task
-  sets concatenated into a single :func:`repro.analysis.engine.run_arena`
-  call, so the batched solver sweeps fixed points across all of them at
-  once.  Verdicts are identical-by-construction to per-query execution
-  (the arena's guarantee), so batching changes throughput, never results.
+  scenario at one utilization point, executed as one campaign work unit
+  by :func:`repro.campaign.executor.execute_unit`, so a query's answer is
+  the batch CLI's answer by construction.  Identical submissions (same
+  cache key over every result-determining field) are *coalesced* into one
+  execution whose single result answers every subscribed client
+  byte-identically, and repeats of an already-answered query are served
+  straight from the result cache.  Everything queued when the admission
+  thread wakes runs as one **wave** on a pool thread; a query whose own
+  execution raises fails alone.
 
 * **Campaigns** (:class:`~repro.service.messages.SubmitCampaign`) — a full
   planned campaign backed by a durable :class:`~repro.campaign.store.
@@ -44,13 +41,15 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from ..analysis.engine import ENGINE_KERNEL, compile_taskset
+# perfbench/layers.py install() patches compile_taskset on this module.
+from ..analysis.engine import compile_taskset  # noqa: F401
 from ..campaign.executor import (
     RetryPolicy,
     UnitResult,
     build_protocols,
+    execute_unit,
     execute_units,
     plan_runner,
 )
@@ -59,20 +58,17 @@ from ..campaign.planner import (
     WorkUnit,
     campaign_manifest,
     config_from_dict,
-    config_to_dict,
     plan_campaign,
     scenario_from_dict,
     scenario_to_dict,
 )
 from ..campaign.progress import ProgressTracker
 from ..campaign.store import CampaignStore
-from ..generation.randfixedsum import GenerationError
-from ..generation.taskset_gen import generate_taskset
-from ..model.platform import Platform
+# perfbench/layers.py install() patches generate_taskset on this module.
+from ..generation.taskset_gen import generate_taskset  # noqa: F401
 from ..obs.events import Event, JobAdmitted, JobFinished
 from ..obs.log import get_logger
 from ..obs.telemetry import Telemetry
-from ..utils.rng import ensure_rng, spawn_rngs
 from .messages import (
     JobAccepted,
     JobStatus,
@@ -124,22 +120,6 @@ def query_cache_key(message: SubmitQuery) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def wave_group_key(message: SubmitQuery) -> Tuple:
-    """Grouping key of the admission wave a query can share.
-
-    Queries in one wave share a single :func:`run_arena` call, so they must
-    agree on everything that call fixes globally: the platform size and the
-    instantiated protocol suite (names + path-signature cap).  Scenario,
-    utilization, samples, and seed may all differ — that is the point.
-    """
-    scenario = dict(message.scenario)
-    return (
-        int(scenario.get("platform_size", 0)),
-        tuple(message.protocols),
-        int(message.max_path_signatures),
-    )
-
-
 def _query_unit(message: SubmitQuery) -> WorkUnit:
     """The work unit a query describes (validates the scenario dict)."""
     return WorkUnit(
@@ -152,85 +132,24 @@ def _query_unit(message: SubmitQuery) -> WorkUnit:
 
 
 def evaluate_query_wave(
-    queries: List[SubmitQuery], telemetry: Optional[Telemetry] = None
-) -> List[UnitResult]:
-    """Evaluate one wave of compatible queries in a single arena pass.
+    queries: List[SubmitQuery],
+) -> List[Union[UnitResult, Exception]]:
+    """Evaluate one admission wave: one :func:`execute_unit` per query.
 
-    Per query, the sample streams are spawned from its own seed exactly as
-    :func:`repro.campaign.executor.execute_unit` would (same RNG order,
-    generation failures counted per sample), so each query's acceptance
-    counts are bit-identical to a standalone execution.  All generated
-    task sets are then concatenated and every arena-capable protocol runs
-    once over the whole wave through
-    :func:`repro.analysis.engine.run_arena`; non-arena protocols fall back
-    to per-task-set calls.  ``telemetry`` (optional, caller-locked)
-    receives the wave width and arena-fallback counters.
+    Entry ``i`` is query ``i``'s result, or the exception its own
+    execution raised — a bad query fails alone and never costs its
+    wave-mates their answers.
     """
-    if not queries:
-        return []
-    first = wave_group_key(queries[0])
-    if any(wave_group_key(query) != first for query in queries[1:]):
-        raise ValueError("queries of one wave must share a wave group key")
-    from ..analysis.engine import arena_capable, run_arena
-
-    tests = build_protocols(
-        list(queries[0].protocols), int(queries[0].max_path_signatures)
-    )
-    platform = Platform(int(first[0]))
-    needs_warm = any(
-        getattr(test, "engine", None) == ENGINE_KERNEL for test in tests
-    )
-    arena_tests = [test for test in tests if arena_capable(test)]
-    fallback_tests = [test for test in tests if not arena_capable(test)]
-
-    results: List[UnitResult] = []
-    spans: List[Tuple[int, int]] = []
-    tasksets = []
+    outcomes: List[Union[UnitResult, Exception]] = []
     for query in queries:
-        unit = _query_unit(query)
-        result = UnitResult(
-            unit_id=f"{unit.scenario.scenario_id}:q",
-            scenario_id=unit.scenario.scenario_id,
-            point_index=0,
-            utilization=unit.utilization,
-            accepted={test.name: 0 for test in tests},
-        )
-        generation_config = unit.scenario.generation_config()
-        start = len(tasksets)
-        for sample_rng in spawn_rngs(ensure_rng(unit.seed), unit.samples_per_point):
-            try:
-                taskset = generate_taskset(
-                    unit.utilization, generation_config, sample_rng
-                )
-            except GenerationError:
-                result.generation_failures += 1
-                continue
-            result.evaluated += 1
-            if needs_warm:
-                compile_taskset(taskset)
-            tasksets.append(taskset)
-        spans.append((start, len(tasksets)))
-        results.append(result)
-
-    verdicts: Dict[str, List] = {}
-    if tasksets:
-        if arena_tests:
-            verdicts.update(run_arena(tasksets, platform, arena_tests))
-        for test in fallback_tests:
-            if telemetry is not None:
-                telemetry.count("service.arena.fallbacks", len(tasksets))
-            verdicts[test.name] = [
-                test.test(taskset, platform) for taskset in tasksets
-            ]
-    for (start, end), result in zip(spans, results):
-        for index in range(start, end):
-            for test in tests:
-                if verdicts[test.name][index].schedulable:
-                    result.accepted[test.name] += 1
-    if telemetry is not None:
-        telemetry.record("service.wave.width", len(queries))
-        telemetry.count("service.wave.samples", len(tasksets))
-    return results
+        try:
+            tests = build_protocols(
+                list(query.protocols), int(query.max_path_signatures)
+            )
+            outcomes.append(execute_unit(_query_unit(query), tests))
+        except Exception as error:  # noqa: BLE001 - per-query containment
+            outcomes.append(error)
+    return outcomes
 
 
 def query_result_payload(message: SubmitQuery, result: UnitResult) -> Dict[str, Any]:
@@ -380,10 +299,13 @@ class JobManager:
 
         Returns the :class:`JobAccepted` reply; for cache hits the
         :class:`ResultReady` is delivered to ``listener`` before this
-        method returns (there is nothing to wait for).  Invalid scenarios
-        or protocol names raise ``ValueError``/``KeyError``/``TypeError``
-        — the daemon maps those onto typed ``invalid_payload`` errors.
+        method returns (there is nothing to wait for).  Invalid scenarios,
+        protocol names or sample counts (``samples < 1``) raise
+        ``ValueError``/``KeyError``/``TypeError`` — the daemon maps those
+        onto typed ``invalid_payload`` errors.
         """
+        if int(message.samples) < 1:
+            raise ValueError(f"samples must be >= 1, got {message.samples}")
         build_protocols(
             list(message.protocols), int(message.max_path_signatures)
         )
@@ -553,12 +475,10 @@ class JobManager:
     # Execution
     # ------------------------------------------------------------------ #
     def _admission_loop(self) -> None:
-        """Drain the queue into waves: group compatible queries, dispatch.
+        """Drain the queue into waves and dispatch them to the pool.
 
         Runs on its own thread.  Everything queued at wake-up drains at
-        once, so queries that accumulate while a wave executes form the
-        next wave together — the longer the backlog, the wider (and more
-        arena-efficient) the wave.
+        once as one wave.
         """
         while True:
             with self._wake:
@@ -566,35 +486,29 @@ class JobManager:
                     self._wake.wait()
                 if not self._queue and self._closed:
                     return
-                batch = self._queue[:]
+                wave = self._queue[:]
                 del self._queue[:]
-                for job, _ in batch:
+                for job, _ in wave:
                     job.state = STATE_RUNNING
-            groups: Dict[Tuple, List[Tuple[Job, SubmitQuery]]] = {}
-            for job, query in batch:
-                groups.setdefault(wave_group_key(query), []).append((job, query))
-            for group in groups.values():
-                self._pool.submit(self._run_wave, group)
+            self._pool.submit(self._run_wave, wave)
 
-    def _run_wave(self, group: List[Tuple[Job, SubmitQuery]]) -> None:
-        """Execute one wave of compatible queries on a pool thread."""
-        queries = [query for _, query in group]
+    def _run_wave(self, wave: List[Tuple[Job, SubmitQuery]]) -> None:
+        """Execute one wave of queries on a pool thread."""
+        queries = [query for _, query in wave]
         started = time.perf_counter()
-        try:
-            results = evaluate_query_wave(queries)
-            with self._lock:
-                self._telemetry.record("service.wave.width", len(queries))
-                self._telemetry.observe(
-                    "service.wave.seconds", time.perf_counter() - started
-                )
-        except Exception as error:  # noqa: BLE001 - containment boundary
-            self._log.warning("query wave failed: %s", error)
-            for job, _ in group:
-                self._fail(job, type(error).__name__, str(error))
-            return
-        for (job, query), result in zip(group, results):
-            payload = query_result_payload(query, result)
-            self._finish(job, payload, exit_code=0, cache=True)
+        outcomes = evaluate_query_wave(queries)
+        with self._lock:
+            self._telemetry.record("service.wave.width", len(queries))
+            self._telemetry.observe(
+                "service.wave.seconds", time.perf_counter() - started
+            )
+        for (job, query), outcome in zip(wave, outcomes):
+            if isinstance(outcome, Exception):
+                self._log.warning("query %s failed: %s", job.job_id, outcome)
+                self._fail(job, type(outcome).__name__, str(outcome))
+            else:
+                payload = query_result_payload(query, outcome)
+                self._finish(job, payload, exit_code=0, cache=True)
 
     def _run_campaign(
         self,
@@ -610,8 +524,7 @@ class JobManager:
             protocols = build_protocols(
                 plan.protocol_names, plan.config.max_path_signatures
             )
-            batch_size = int(message.batch_size) if message.batch_size else None
-            runner = plan_runner(plan, batch_size=batch_size)
+            runner = plan_runner(plan)
             with self._lock:
                 job.state = STATE_RUNNING
                 job.tracker = ProgressTracker(total=len(plan.units))

@@ -9,7 +9,7 @@ on encode.
 
 Frames are newline-delimited JSON objects::
 
-    {"type": "submit_query", "v": 1, ...payload...}\\n
+    {"type": "submit_query", "v": 2, ...payload...}\\n
 
 The codec is deliberately defensive — the decoder **never** raises
 anything but :class:`ProtocolError`:
@@ -43,7 +43,7 @@ from typing import Any, Dict, Mapping, Tuple, Type, Union
 #: Version stamped into every frame.  Bumped on any incompatible change to
 #: a message schema; a mismatched peer receives a typed
 #: :data:`ERR_VERSION` error instead of a silently misparsed payload.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Envelope keys of a frame (never payload fields).
 ENVELOPE_KEYS = ("type", "v")
@@ -238,8 +238,7 @@ class SubmitCampaign(Message):
     resubmitting an identical campaign *resumes* it — completed units are
     replayed from the store and quarantined units are retried (healed).
     ``workers`` selects the executor's process-pool width inside the job;
-    ``max_attempts`` its retry policy; ``batch_size`` the arena-batched
-    evaluation strategy (0 = whole unit per wave).
+    ``max_attempts`` its retry policy.
     """
 
     TYPE = "submit_campaign"
@@ -251,7 +250,6 @@ class SubmitCampaign(Message):
     mode: str = "analyze"
     workers: int = 1
     max_attempts: int = 3
-    batch_size: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(

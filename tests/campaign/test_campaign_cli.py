@@ -84,6 +84,28 @@ def test_parallel_cli_run_is_bit_identical_to_serial_run_sweep(tmp_path):
             )
 
 
+def test_store_identical_across_workers(tmp_path):
+    """Worker processes keep their real clocks and complete in pool order,
+    so the worker-count axis is compared with the timing fields stripped
+    and the records keyed by unit id (the repo-wide convention for
+    cross-process identity)."""
+    import json
+
+    def payload(store):
+        with open(os.path.join(store, "results.jsonl")) as handle:
+            records = [json.loads(line) for line in handle if line.strip()]
+        for record in records:
+            del record["elapsed_seconds"]
+            del record["completed_at"]
+        return sorted(records, key=lambda record: record["unit_id"])
+
+    serial = str(tmp_path / "w1")
+    pooled = str(tmp_path / "w2")
+    assert run_cli("run", "--store", serial, *RUN_FLAGS) == 0
+    assert run_cli("run", "--store", pooled, *RUN_FLAGS, "--workers", "2") == 0
+    assert payload(serial) == payload(pooled)
+
+
 def test_rerun_with_mismatched_config_is_refused(tmp_path, capsys):
     store = str(tmp_path / "store")
     assert run_cli("run", "--store", store, *RUN_FLAGS, "--max-units", "1") == 3

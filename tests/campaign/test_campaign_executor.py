@@ -10,6 +10,7 @@ from repro.campaign.executor import (
     assemble_campaign,
     build_protocols,
     execute_plan,
+    execute_unit,
     execute_units,
 )
 from repro.campaign.planner import campaign_manifest, plan_campaign
@@ -179,3 +180,29 @@ def test_run_campaign_handles_duplicate_scenarios_on_both_paths(scenarios, confi
     assert len(serial) == len(parallel) == 2
     for a, b in zip(serial, parallel):
         assert curves_of(a) == curves_of(b)
+
+
+def test_unit_counts_generation_failures_per_sample():
+    # A point where some draws fail and some succeed: every sample is
+    # either evaluated or counted as one generation failure.
+    scenario = Scenario(
+        platform_size=4,
+        resource_count_range=(1, 2),
+        average_utilization=2.0,
+        access_probability=1.0,
+        request_count_range=(1, 2),
+        cs_length_range=(1.0, 2.0),
+        num_vertices_range=(4, 6),
+    )
+    plan = plan_campaign(
+        [scenario],
+        SweepConfig(samples_per_point=8, utilization_step_fraction=0.25, seed=5),
+        ["SPIN"],
+    )
+    unit = plan.units[-1]
+    result = execute_unit(unit, build_protocols(["SPIN"]), telemetry=True)
+    assert result.evaluated > 0 and result.generation_failures > 0
+    assert result.evaluated + result.generation_failures == unit.samples_per_point
+    counters = result.telemetry["counters"]
+    assert counters["generation.failures"] == result.generation_failures
+    assert counters["generation.tasksets"] == result.evaluated

@@ -126,7 +126,6 @@ def test_plan_runner_matches_the_mode():
     assert partial.keywords == {
         "sim_config": simulate.sim_config,
         "telemetry": False,
-        "batch_size": None,
     }
 
 

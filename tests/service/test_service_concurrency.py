@@ -79,10 +79,10 @@ def test_concurrent_identical_queries_coalesce_to_one_execution(
     executions = []
     real_wave = jobs.evaluate_query_wave
 
-    def gated_wave(queries, telemetry=None):
+    def gated_wave(queries):
         executions.append(len(queries))
         assert gate.wait(timeout=60.0), "test gate never released"
-        return real_wave(queries, telemetry)
+        return real_wave(queries)
 
     monkeypatch.setattr(jobs, "evaluate_query_wave", gated_wave)
 
@@ -152,10 +152,10 @@ def test_mid_job_disconnect_neither_kills_the_job_nor_leaks_a_worker(
     started = threading.Event()
     real_wave = jobs.evaluate_query_wave
 
-    def gated_wave(queries, telemetry=None):
+    def gated_wave(queries):
         started.set()
         assert gate.wait(timeout=60.0), "test gate never released"
-        return real_wave(queries, telemetry)
+        return real_wave(queries)
 
     monkeypatch.setattr(jobs, "evaluate_query_wave", gated_wave)
 
@@ -181,6 +181,64 @@ def test_mid_job_disconnect_neither_kills_the_job_nor_leaks_a_worker(
     assert accepted_again.cached
     assert isinstance(ready_again, ResultReady)
     assert ready_again.job_id == accepted.job_id
+
+
+def test_bad_query_fails_alone_in_its_wave(
+    daemon, connect, monkeypatch, tiny_query
+):
+    """A query whose own execution raises fails only its own job: the good
+    query sharing its wave still gets its ResultReady."""
+    manager = daemon.manager
+    held = threading.Event()
+    release = threading.Event()
+    real_submit = manager._pool.submit
+
+    def gated_submit(fn, *args):
+        # Hold the admission thread on its first dispatch, so the next
+        # two submissions queue up and drain together as one wave.
+        if not held.is_set():
+            held.set()
+            assert release.wait(timeout=60.0), "test gate never released"
+        return real_submit(fn, *args)
+
+    waves = []
+    real_wave = jobs.evaluate_query_wave
+
+    def recording_wave(queries):
+        waves.append(sorted(query.seed for query in queries))
+        return real_wave(queries)
+
+    real_execute = jobs.execute_unit
+
+    def poisoned_execute(unit, protocols):
+        if unit.seed == 666:
+            raise ValueError("negative dimensions are not allowed")
+        return real_execute(unit, protocols)
+
+    monkeypatch.setattr(manager._pool, "submit", gated_submit)
+    monkeypatch.setattr(jobs, "evaluate_query_wave", recording_wave)
+    monkeypatch.setattr(jobs, "execute_unit", poisoned_execute)
+
+    client = connect()
+    blocker = client.submit(tiny_query(seed=1))
+    assert held.wait(timeout=60.0), "admission never dispatched the blocker"
+    bad = client.submit(tiny_query(seed=666))
+    good_query = tiny_query(seed=2)
+    good = client.submit(good_query)
+    release.set()
+
+    ready = client.wait_result(good.job_id)
+    assert ready.exit_code == 0
+    expected_accepted, expected_evaluated = _expected_payload(good_query)
+    assert ready.result["accepted"] == expected_accepted
+    assert ready.result["evaluated"] == expected_evaluated
+    assert [2, 666] in waves
+
+    assert manager.wait(bad.job_id, timeout=60.0)
+    status = manager.status(bad.job_id)
+    assert status.state == "failed"
+    assert status.error_kind == "ValueError"
+    assert client.wait_result(blocker.job_id).exit_code == 0
 
 
 def test_soak_many_interleaved_submissions(daemon, connect, tiny_query):

@@ -5,6 +5,7 @@ campaign run through the service produces the same store as the batch CLI."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import socket
@@ -142,7 +143,17 @@ def test_invalid_submissions_are_rejected_not_fatal(daemon, connect, tiny_query)
     assert isinstance(reply, ErrorReply)
     assert reply.code == ERR_INVALID
 
-    # The daemon survives both rejections and still answers real work.
+    # A sample count below one is rejected at admission, not answered with
+    # an all-zero result or left to crash its wave.
+    for samples in (0, -1):
+        client.send(dataclasses.replace(tiny_query(), samples=samples))
+        reply = client.recv()
+        assert isinstance(reply, ErrorReply)
+        assert reply.code == ERR_INVALID
+        assert "samples" in reply.message
+    assert daemon.manager.counter("service.queries") == 0
+
+    # The daemon survives every rejection and still answers real work.
     _, ready = client.query(tiny_query(seed=12))
     assert ready.result["seed"] == 12
 
