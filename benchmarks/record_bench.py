@@ -278,10 +278,11 @@ def measure_campaign_macro(samples: int = 40, prev_campaign: dict = None) -> dic
     generation and table compilation cold:
 
     * ``per_sample_seed`` — the per-sample loop over the **reference**
-      engine suite: the seed implementation this repository started from,
-      and the baseline ``speedup_vs_seed`` compares against (matching the
-      component table's convention, where ``seed_us`` records the
-      pre-kernel medians).
+      engine suite: today's Algorithm-1 and federated loops with the
+      straight-line reference bounds in place of the kernels.  It is not
+      the seed implementation; loop-level changes (such as Algorithm 1
+      stopping at the first failing task) speed it up too.  The arm keeps
+      its historical name, and ``speedup_vs_seed`` compares against it.
     * ``per_sample_kernel`` — the same loop over today's kernels: what
       every campaign, simulate run and daemon query executes.
 

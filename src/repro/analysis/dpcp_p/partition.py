@@ -2,18 +2,23 @@
 
 The partitioning stage decides (i) how many processors each heavy task
 receives (its *cluster*) and (ii) which processor hosts each global resource.
-Resources are assigned with a Worst-Fit-Decreasing heuristic: the resource
-with the highest utilization goes to the least-loaded processor of the
-cluster with the largest utilization slack.  If some task's WCRT bound
-exceeds its deadline, it receives one additional processor (when available),
-the resource assignment is rolled back, and the procedure repeats.
+Clusters start at the minimal federated assignment.  Resources are assigned
+with a Worst-Fit-Decreasing heuristic (Algorithm 2): in non-increasing
+utilization order, each resource goes to the least-loaded processor of the
+cluster with the largest utilization slack.
+
+Algorithm 1 then analyses the tasks in decreasing priority order and stops
+at the first task whose WCRT bound exceeds its deadline.  That task receives
+one spare processor, the resource assignment is rolled back, and the
+procedure repeats.  It ends schedulable when every task meets its deadline,
+and unschedulable when WFD finds no fit or no spare processor is left.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ...model.platform import (
     Cluster,
@@ -23,9 +28,9 @@ from ...model.platform import (
 )
 from ...model.task import TaskSet
 from ...obs.telemetry import active as _active_telemetry
-from ..interfaces import SchedulabilityResult, TaskAnalysis, UNBOUNDED
+from ..interfaces import SchedulabilityResult, TaskAnalysis
 from ..paths import PathEnumerator
-from .wcrt import DEFAULT_ENGINE, ENGINE_KERNEL, MODE_EN, MODE_EP, analyze_taskset
+from .wcrt import DEFAULT_ENGINE, ENGINE_KERNEL, MODE_EP, iter_task_analyses
 
 
 @dataclass
@@ -93,8 +98,10 @@ def partition_and_analyze(
 ) -> SchedulabilityResult:
     """Algorithm 1: iterative task/resource partitioning plus analysis.
 
-    Returns the full schedulability verdict including the final partition and
-    per-task WCRT bounds.
+    Returns the schedulability verdict with the final partition.  A
+    schedulable verdict carries every task's WCRT bound; an unschedulable
+    one carries the priority-order prefix of the last pass, ending at the
+    failing task.
     """
     name = f"{protocol_name}-{mode}"
     clusters = minimal_federated_clusters(taskset, platform)
@@ -134,16 +141,23 @@ def partition_and_analyze(
                 reason=f"WFD resource assignment infeasible: {wfd.reason}",
             )
         partition = PartitionedSystem(taskset, platform, clusters, wfd.assignment)
-        analyses = analyze_taskset(
+        # Algorithm 1 only needs the first failing task in priority order:
+        # the pass stops there, and the tasks after it are never analysed.
+        analyses: Dict[int, TaskAnalysis] = {}
+        failing: Optional[int] = None
+        for analysis in iter_task_analyses(
             taskset,
             partition,
             mode=mode,
             enumerator=enumerator,
             engine=engine,
             static_cache=static_cache,
-        )
+        ):
+            analyses[analysis.task_id] = analysis
+            if not analysis.schedulable:
+                failing = analysis.task_id
+                break
 
-        failing = _first_failing_task(taskset, analyses)
         if failing is None:
             return SchedulabilityResult(
                 schedulable=True,
@@ -167,14 +181,3 @@ def partition_and_analyze(
         # Give one more processor to the failing task, roll back the resource
         # assignment (a fresh WFD pass runs at the top of the loop), and retry.
         clusters[failing].processors.append(unassigned[0])
-
-
-def _first_failing_task(
-    taskset: TaskSet, analyses: Dict[int, TaskAnalysis]
-) -> Optional[int]:
-    """First task, in decreasing priority order, whose WCRT exceeds its deadline."""
-    for task in taskset.by_priority(descending=True):
-        analysis = analyses.get(task.task_id)
-        if analysis is None or analysis.wcrt == UNBOUNDED or not analysis.schedulable:
-            return task.task_id
-    return None

@@ -4,7 +4,8 @@ Two analysis variants are provided:
 
 * **EP** (:func:`task_wcrt_ep`) enumerates the complete paths of the task and
   evaluates Theorem 1 for each path with its exact per-resource request
-  counts :math:`N^\\lambda_{i,q}`.
+  counts :math:`N^\\lambda_{i,q}`.  The critical path is bounded first, so a
+  task that already fails on it is rejected without enumerating its paths.
 * **EN** (:func:`task_wcrt_en`) reasons about the longest path only and
   treats the request counts as free variables, bounding every term by its
   worst admissible value (the approach of the prior work [6], [11]); this is
@@ -25,7 +26,7 @@ Each bound can be computed by two interchangeable engines:
 from __future__ import annotations
 
 import math
-from typing import Dict, Mapping, Optional
+from typing import Dict, Iterator, Mapping, Optional
 
 from ...model.dag import PathProfile
 from ...model.task import DAGTask, TaskSet
@@ -191,10 +192,20 @@ def task_wcrt_ep(
 
     When the enumeration is truncated the EN bound is used as a sound
     over-approximation of the missing paths.
+
+    The critical path is bounded first: it is a complete path, so its bound
+    is one of Eq. (1)'s maximands (and the profile a truncated enumeration
+    keeps).  When it already diverges, the task bound is ``inf`` and the
+    paths are never enumerated.
     """
     _check_engine(engine)
     if divergence_bound is None:
         divergence_bound = task.deadline
+    critical = path_wcrt(
+        ctx, task, task.critical_path_profile(), divergence_bound, engine=engine
+    )
+    if math.isinf(critical):
+        return critical
     enumeration = enumerator.enumerate(task)
     if engine == ENGINE_KERNEL:
         return ctx.kernel.task_wcrt_ep(task, enumeration, divergence_bound)
@@ -236,6 +247,46 @@ def task_wcrt_en(
     return _task_wcrt_en_reference(ctx, task, divergence_bound)
 
 
+def iter_task_analyses(
+    taskset: TaskSet,
+    partition: PartitionedSystem,
+    mode: str = MODE_EP,
+    enumerator: Optional[PathEnumerator] = None,
+    divergence_factor: float = 1.0,
+    engine: str = DEFAULT_ENGINE,
+    static_cache=None,
+) -> Iterator[TaskAnalysis]:
+    """Yield each task's analysis in decreasing priority order.
+
+    A task's bound reads only the response times of the tasks yielded
+    before it (later tasks enter with their deadlines), so a consumer may
+    stop at any task and the prefix it has seen is exactly what a full pass
+    would produce.  Parameters are those of :func:`analyze_taskset`.
+    """
+    if mode not in (MODE_EP, MODE_EN):
+        raise ValueError(f"unknown analysis mode {mode!r}")
+    _check_engine(engine)
+    enumerator = enumerator or PathEnumerator()
+    ctx = DpcpPContext(taskset, partition)
+    if engine == ENGINE_KERNEL and static_cache is not None:
+        from .kernel import DpcpPKernel
+
+        ctx.attach_kernel(DpcpPKernel(taskset, partition, static_cache))
+    for task in taskset.by_priority(descending=True):
+        bound = task.deadline * max(divergence_factor, 1.0)
+        if mode == MODE_EP:
+            wcrt = task_wcrt_ep(ctx, task, enumerator, bound, engine=engine)
+        else:
+            wcrt = task_wcrt_en(ctx, task, bound, engine=engine)
+        ctx.response_times[task.task_id] = min(wcrt, task.deadline)
+        yield TaskAnalysis(
+            task_id=task.task_id,
+            wcrt=wcrt,
+            deadline=task.deadline,
+            processors=partition.num_processors_of(task.task_id),
+        )
+
+
 def analyze_taskset(
     taskset: TaskSet,
     partition: PartitionedSystem,
@@ -272,27 +323,13 @@ def analyze_taskset(
         task-static coefficients are compiled once per task set instead of
         once per retry.
     """
-    if mode not in (MODE_EP, MODE_EN):
-        raise ValueError(f"unknown analysis mode {mode!r}")
-    _check_engine(engine)
-    enumerator = enumerator or PathEnumerator()
-    ctx = DpcpPContext(taskset, partition)
-    if engine == ENGINE_KERNEL and static_cache is not None:
-        from .kernel import DpcpPKernel
-
-        ctx.attach_kernel(DpcpPKernel(taskset, partition, static_cache))
-    results: Dict[int, TaskAnalysis] = {}
-    for task in taskset.by_priority(descending=True):
-        bound = task.deadline * max(divergence_factor, 1.0)
-        if mode == MODE_EP:
-            wcrt = task_wcrt_ep(ctx, task, enumerator, bound, engine=engine)
-        else:
-            wcrt = task_wcrt_en(ctx, task, bound, engine=engine)
-        results[task.task_id] = TaskAnalysis(
-            task_id=task.task_id,
-            wcrt=wcrt,
-            deadline=task.deadline,
-            processors=partition.num_processors_of(task.task_id),
-        )
-        ctx.response_times[task.task_id] = min(wcrt, task.deadline)
-    return results
+    analyses = iter_task_analyses(
+        taskset,
+        partition,
+        mode=mode,
+        enumerator=enumerator,
+        divergence_factor=divergence_factor,
+        engine=engine,
+        static_cache=static_cache,
+    )
+    return {analysis.task_id: analysis for analysis in analyses}

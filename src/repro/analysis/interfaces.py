@@ -49,7 +49,13 @@ class TaskAnalysis:
 
 @dataclass
 class SchedulabilityResult:
-    """Outcome of a schedulability test on a whole task set."""
+    """Outcome of a schedulability test on a whole task set.
+
+    ``task_analyses`` holds every task's bound when the verdict is
+    schedulable.  An unschedulable DPCP-p, SPIN or LPP verdict carries only
+    the analysed prefix: the tasks in decreasing priority order up to and
+    including the first one that misses its deadline.
+    """
 
     schedulable: bool
     protocol: str

@@ -127,6 +127,7 @@ class DAGTask:
         self._critical_path_cache: Optional[Tuple[int, float]] = None
         self._wcet_cache: Optional[float] = None
         self._min_processors_cache: Optional[Tuple[int, int]] = None
+        self._critical_profile_cache: Optional[Tuple[int, PathProfile]] = None
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -291,9 +292,19 @@ class DAGTask:
         return PathProfile(vertices=tuple(vertices), length=length, requests=requests)
 
     def critical_path_profile(self) -> PathProfile:
-        """Profile of one longest path of the task."""
+        """Profile of one longest path of the task.
+
+        Cached per edge count, like :attr:`critical_path_length`: the EP
+        analysis bounds this profile on every task analysis of every
+        Algorithm-1 pass.  Treat the returned profile as read-only.
+        """
+        cached = self._critical_profile_cache
+        if cached is not None and cached[0] == self.dag.num_edges:
+            return cached[1]
         path = self.dag.longest_path([v.wcet for v in self.vertices])
-        return self.path_profile(path)
+        profile = self.path_profile(path)
+        self._critical_profile_cache = (self.dag.num_edges, profile)
+        return profile
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -17,7 +17,6 @@ from .protocols import (
     behavior_for,
 )
 from .simulator import (
-    DpcpPSimulator,
     RuntimeSimulator,
     SimulationError,
     SimulationTruncated,
@@ -48,7 +47,6 @@ __all__ = [
     "LppBehavior",
     "RUNTIME_BEHAVIORS",
     "behavior_for",
-    "DpcpPSimulator",
     "RuntimeSimulator",
     "SimulationError",
     "SimulationTruncated",

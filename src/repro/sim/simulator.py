@@ -575,15 +575,6 @@ class RuntimeSimulator:
             self.trace.add_interval(interval)
 
 
-class DpcpPSimulator(RuntimeSimulator):
-    """Backwards-compatible name for the DPCP-p-defaulting simulator.
-
-    ``RuntimeSimulator`` already defaults to
-    :class:`~repro.sim.protocols.DpcpPBehavior`; this subclass exists so the
-    pre-refactor name (and every existing call site) keeps working.
-    """
-
-
 def simulate_periodic(
     partition: PartitionedSystem,
     horizon: float,

@@ -155,6 +155,26 @@ def test_path_profile_and_critical_path_profile():
     assert critical.length == pytest.approx(task.critical_path_length)
 
 
+def test_critical_path_profile_is_cached_until_the_dag_changes():
+    usages = [ResourceUsage(3, max_requests=1, cs_length=0.5)]
+    # Two parallel chains: 0→1 (length 5) and 2→3 (length 4, one request).
+    task = make_task(
+        wcets=(2.0, 3.0, 1.0, 3.0),
+        edges=((0, 1), (2, 3)),
+        requests={3: {3: 1}},
+        usages=usages,
+    )
+    first = task.critical_path_profile()
+    assert first.vertices == (0, 1)
+    assert task.critical_path_profile() is first
+    task.dag.add_edge(1, 3)  # 0→1→3 is now the longest path
+    second = task.critical_path_profile()
+    assert second is not first
+    assert second.vertices == (0, 1, 3)
+    assert second.length == pytest.approx(task.critical_path_length) == 8.0
+    assert second.requests == {3: 1}
+
+
 # --------------------------------------------------------------------------- #
 # TaskSet
 # --------------------------------------------------------------------------- #
