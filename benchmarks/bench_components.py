@@ -58,14 +58,32 @@ def test_bench_taskset_generation(benchmark, workload):
     benchmark(lambda: generate_taskset(6.0, config, rng=next(counter)))
 
 
+@pytest.fixture(scope="module")
+def paper_workload():
+    """The same system at the paper's DAG sizes (v10..100).
+
+    At ``rng=1`` its tasks have 51, 681, 14,282 and 31,185 complete paths,
+    so the signature DP runs (the v10..30 tasks above have 9-16 paths and
+    all take the walk shortcut).
+    """
+    config = _config(vertex_max=100)
+    return config, generate_taskset(6.0, config, rng=1), Platform(16)
+
+
+@pytest.mark.parametrize("dag_sizes", ["v10-30", "v10-100"])
 @pytest.mark.parametrize("algorithm", ["dp", "walk"])
-def test_bench_path_enumeration(benchmark, workload, algorithm):
-    """Complete-path enumeration (signature DP vs the reference walk)."""
-    _, taskset, _ = workload
+def test_bench_path_enumeration(benchmark, request, algorithm, dag_sizes):
+    """Complete-path enumeration (signature DP vs the reference walk).
+
+    Times what the EP kernel's batched path consumes: the enumeration and
+    its packed profile batch.
+    """
+    fixture = "workload" if dag_sizes == "v10-30" else "paper_workload"
+    _, taskset, _ = request.getfixturevalue(fixture)
 
     def enumerate_all():
         enumerator = PathEnumerator(algorithm=algorithm)
-        return [enumerator.enumerate(task).profiles for task in taskset]
+        return [enumerator.enumerate(task).packed for task in taskset]
 
     benchmark(enumerate_all)
 

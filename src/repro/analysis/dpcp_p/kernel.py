@@ -32,7 +32,9 @@ Two execution strategies share the coefficients:
   ``(path profile, resource)`` pair of a task simultaneously and Theorem 1
   for every path profile simultaneously, iterating only the entries that
   have neither converged nor diverged — this is what makes wide-DAG EP
-  analyses (thousands of path signatures) cheap; and
+  analyses (thousands of path signatures) cheap.  It reads the
+  enumerator's :class:`~repro.analysis.paths.PackedPaths` batch directly,
+  without building a profile object per path; and
 * a **scalar path** over the same precomputed coefficient tables (plain
   Python floats, sparse ``(task, weight)`` columns) for small batches, where
   NumPy dispatch overhead would dominate: the EN analysis and tasks with few
@@ -64,7 +66,7 @@ from ..engine.solver import (
     warn_no_convergence,
 )
 from ..engine.tables import CompiledTask, CompiledTaskset, compile_taskset
-from ..paths import PathEnumerationResult
+from ..paths import PackedPaths, PathEnumerationResult
 
 #: Profile batches at least this large use the batched NumPy fixed-point
 #: solver; smaller batches use the scalar path over the same coefficients.
@@ -568,27 +570,17 @@ class DpcpPKernel:
         return solve_batched(start, step, bound)
 
     def _profile_bounds_batched(
-        self, lane: _TaskLane, profiles: List[PathProfile], bound: float
+        self, lane: _TaskLane, packed: PackedPaths, bound: float
     ) -> np.ndarray:
         """Theorem-1 bounds for a large batch of concrete path profiles."""
         self._ensure_batched_arrays(lane)
         static = lane.static
-        P = len(profiles)
-        G, Gl = len(static.ugr), len(static.lres)
-        lengths = np.empty(P)
-        nlam_g = np.zeros((P, G))
-        nlam_l = np.zeros((P, Gl))
-        onpath_noncrit = np.empty(P)
-        noncrit = static.noncrit_arr
-        for p, prof in enumerate(profiles):
-            lengths[p] = prof.length
-            req = prof.requests
-            for j, rid in enumerate(static.ugr):
-                nlam_g[p, j] = req.get(rid, 0)
-            for j, rid in enumerate(static.lres):
-                nlam_l[p, j] = req.get(rid, 0)
-            idxs = np.fromiter(prof.vertices, dtype=np.intp, count=len(prof.vertices))
-            onpath_noncrit[p] = noncrit[idxs].sum()
+        P = len(packed)
+        Gl = len(static.lres)
+        lengths = packed.lengths
+        nlam_g = packed.request_columns(static.ugr)
+        nlam_l = packed.request_columns(static.lres)
+        onpath_noncrit = packed.vertex_sums(static.noncrit_arr)
 
         off_w = self._off_matrix(lane, nlam_g)
 
@@ -650,14 +642,15 @@ class DpcpPKernel:
         if divergence_bound is None:
             divergence_bound = task.deadline
         lane = self._lane(task)
-        profiles = enumeration.profiles
         worst = 0.0
-        if len(profiles) >= BATCH_CUTOFF:
-            bounds = self._profile_bounds_batched(lane, profiles, divergence_bound)
+        if enumeration.num_profiles >= BATCH_CUTOFF:
+            bounds = self._profile_bounds_batched(
+                lane, enumeration.packed, divergence_bound
+            )
             if bounds.size:
                 worst = float(bounds.max())
         else:
-            for profile in profiles:
+            for profile in enumeration.profiles:
                 worst = max(
                     worst, self._profile_wcrt_scalar(lane, profile, divergence_bound)
                 )
